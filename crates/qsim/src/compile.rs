@@ -33,7 +33,9 @@
 //! sampled counts are bit-identical to unfused interpretation.
 
 use crate::error::{CliffordBlock, SimError};
-use crate::program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};
+use crate::program::{
+    unitary_head, CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan,
+};
 use crate::stabilizer::CliffordProgram;
 use qcircuit::{CircuitDag, Gate, OpKind, QuantumCircuit};
 use qmath::Mat2;
@@ -283,6 +285,11 @@ fn analyze_hybrid(
     } else {
         (2 * n * n) as f64 / (1u64 << n) as f64
     };
+    // The model prices a per-shot extraction, although a fully settled
+    // prefix now extracts once per shard. Routing is deliberately left
+    // as it was: a program that falls back today would change its
+    // counts if it were rerouted, since the hybrid and amplitude paths
+    // draw differently.
     let profitable = prefix_ops * PREFIX_FUSION_DISCOUNT
         > HANDOFF_EXTRACTION_PASSES + prefix_ops * tableau_pass_fraction;
     Some(HybridPlan::new(
@@ -470,9 +477,9 @@ fn lower_gate(g: &Gate, qubits: &[qcircuit::QubitId]) -> CompiledKind {
 }
 
 /// Detects the sample-once shape: no conditions, no reset/post-select,
-/// and every measurement trailing every unitary.
+/// and every measurement trailing every unitary. The evolved prefix is
+/// the same [`unitary_head`] the per-shot loops settle once per shard.
 fn analyze_fast_path(ops: &[CompiledOp]) -> Option<FastPath> {
-    let mut prefix = 0usize;
     let mut mapping = Vec::new();
     let mut in_suffix = false;
     for op in ops {
@@ -485,16 +492,12 @@ fn analyze_fast_path(ops: &[CompiledOp]) -> Option<FastPath> {
                 in_suffix = true;
                 mapping.push((qubit.index(), *clbit));
             }
-            _ => {
-                if in_suffix {
-                    return None;
-                }
-                prefix += 1;
-            }
+            _ if in_suffix => return None,
+            _ => {}
         }
     }
     Some(FastPath {
-        unitary_prefix: prefix,
+        unitary_prefix: unitary_head(ops),
         mapping,
     })
 }

@@ -49,7 +49,7 @@ use crate::counts::Counts;
 use crate::density::DensityMatrix;
 use crate::error::SimError;
 use crate::pool::ShardPool;
-use crate::program::{CompiledKind, CompiledOp, CompiledProgram};
+use crate::program::{unitary_head, CompiledKind, CompiledOp, CompiledProgram};
 use crate::statevector::StateVector;
 use qcircuit::{OpKind, QuantumCircuit, QubitId};
 use qnoise::{Kraus, NoiseModel};
@@ -516,41 +516,60 @@ pub fn run_compiled_shot<R: Rng + ?Sized>(
 ) -> Result<Option<ShotRecord>, SimError> {
     let mut state = StateVector::zero_state(program.num_qubits());
     let mut clbits = 0u64;
-    if !run_compiled_from(program, &mut state, &mut clbits, rng)? {
+    if !run_compiled_from(program, 0, &mut state, &mut clbits, rng)? {
         return Ok(None);
     }
     Ok(Some(ShotRecord { state, clbits }))
 }
 
-/// Executes a compiled program's whole op stream on an existing
-/// `(state, clbits)` pair — the hybrid handoff entry point: the suffix
-/// program of a routed shot starts from the tableau-extracted state and
-/// the prefix's classical record instead of `|0…0⟩`. Dispatches batched
-/// plan nodes exactly like [`run_compiled_shot`]; returns `Ok(false)`
-/// when a post-selection discarded the shot.
-pub(crate) fn run_compiled_from<R: Rng + ?Sized>(
+/// Executes ops `[start..]` of a compiled program on an existing
+/// `(state, clbits)` pair. Two callers start mid-stream or mid-state:
+/// the per-shot loops resume each shot after the settled head
+/// (`start` = its length), and the hybrid handoff runs the suffix
+/// program from the tableau-extracted state and the prefix's classical
+/// record instead of `|0…0⟩`. Dispatches batched plan nodes exactly
+/// like [`run_compiled_shot`]; a batched node straddling `start` applies
+/// its remaining ops one at a time (blocked and per-op application are
+/// bit-identical). Returns `Ok(false)` when a
+/// post-selection discarded the shot.
+///
+/// # Errors
+///
+/// Returns a [`SimError`] when a noise channel is malformed for the
+/// program's width.
+///
+/// # Panics
+///
+/// Panics when `start` exceeds the program's op count.
+pub fn run_compiled_from<R: Rng + ?Sized>(
     program: &CompiledProgram,
+    start: usize,
     state: &mut StateVector,
     clbits: &mut u64,
     rng: &mut R,
 ) -> Result<bool, SimError> {
-    match program.batch_plan() {
-        Some(plan) => {
-            let ops = program.ops();
-            for node in plan.nodes() {
-                match node {
-                    PlanNode::BatchedApply { kernel, .. } => kernel.apply(state.amps_mut()),
-                    PlanNode::Sequential { start, end } => {
-                        if !run_ops_sequential(&ops[*start..*end], state, clbits, rng)? {
-                            return Ok(false);
-                        }
-                    }
+    let ops = program.ops();
+    let Some(plan) = program.batch_plan() else {
+        return run_ops_sequential(&ops[start..], state, clbits, rng);
+    };
+    for node in plan.nodes() {
+        let (node_start, end) = node.range();
+        if end <= start {
+            continue;
+        }
+        match node {
+            PlanNode::BatchedApply { kernel, .. } if node_start >= start => {
+                kernel.apply(state.amps_mut());
+            }
+            PlanNode::BatchedApply { .. } => {
+                for op in &ops[start..end] {
+                    apply_compiled_unitary(state, &op.kind)?;
                 }
             }
-        }
-        None => {
-            if !run_ops_sequential(program.ops(), state, clbits, rng)? {
-                return Ok(false);
+            PlanNode::Sequential { .. } => {
+                if !run_ops_sequential(&ops[node_start.max(start)..end], state, clbits, rng)? {
+                    return Ok(false);
+                }
             }
         }
     }
@@ -559,9 +578,9 @@ pub(crate) fn run_compiled_from<R: Rng + ?Sized>(
 
 /// Evolves `state` through the unitary ops `[0, upto)` of `program`,
 /// dispatching batched plan nodes to the blocked kernels. Used by the
-/// statevector sample-once fast path and compiled statevector
-/// evolution; bit-identical to per-op application.
-fn evolve_unitary_prefix(
+/// statevector sample-once fast path, compiled statevector evolution
+/// and the per-shard settle step; bit-identical to per-op application.
+pub(crate) fn evolve_unitary_prefix(
     program: &CompiledProgram,
     upto: usize,
     state: &mut StateVector,
@@ -651,19 +670,74 @@ pub fn tranche_seed(seed: u64, tranche: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one shard of shots sequentially.
+/// Widest register for which a per-shot shard holds a settled
+/// amplitude snapshot: one extra `2^n`-amplitude state per shard, at
+/// most `2^24 × 16` bytes = 256 MiB. Wider programs replay their head
+/// every shot.
+pub const SNAPSHOT_MAX_QUBITS: usize = 24;
+
+/// The settled head a per-shot amplitude shard evolves once and starts
+/// every shot from: `Some(len)` of the program's leading unconditioned,
+/// noise-free unitaries, or `None` — each shot then starts from
+/// `|0…0⟩` and replays everything — when that head is empty or the
+/// register is wider than [`SNAPSHOT_MAX_QUBITS`]. The head draws
+/// nothing, so settling it cannot move any shot's RNG stream.
+pub fn amplitude_snapshot_head(program: &CompiledProgram) -> Option<usize> {
+    let head = unitary_head(program.ops());
+    (head > 0 && program.num_qubits() <= SNAPSHOT_MAX_QUBITS).then_some(head)
+}
+
+/// Runs one shard of shots sequentially. With a settled head the shard
+/// evolves it once into a snapshot and restores each shot from it in
+/// place; otherwise every shot starts from a fresh `|0…0⟩`.
 fn run_compiled_shard(
     program: &CompiledProgram,
     shots: u64,
     rng_seed: u64,
 ) -> Result<(Counts, u64), SimError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
+    let Some(head) = amplitude_snapshot_head(program) else {
+        let mut counts = Counts::new(program.num_clbits());
+        let mut discarded = 0u64;
+        for _ in 0..shots {
+            match run_compiled_shot(program, &mut rng)? {
+                Some(record) => counts.record(record.clbits, 1),
+                None => discarded += 1,
+            }
+        }
+        return Ok((counts, discarded));
+    };
+    let mut snapshot = StateVector::zero_state(program.num_qubits());
+    evolve_unitary_prefix(program, head, &mut snapshot)?;
+    run_from_snapshot(program, head, &snapshot, 0, shots, &mut rng, |_| {})
+}
+
+/// Runs `shots` shots of ops `[head..]` of `program`, each starting
+/// from `snapshot` (restored in place) and the classical record
+/// `clbits`. `before_shot` runs first in every shot: the hybrid handoff
+/// draws its marker there.
+pub(crate) fn run_from_snapshot<R: Rng>(
+    program: &CompiledProgram,
+    head: usize,
+    snapshot: &StateVector,
+    clbits: u64,
+    shots: u64,
+    rng: &mut R,
+    mut before_shot: impl FnMut(&mut R),
+) -> Result<(Counts, u64), SimError> {
     let mut counts = Counts::new(program.num_clbits());
     let mut discarded = 0u64;
-    for _ in 0..shots {
-        match run_compiled_shot(program, &mut rng)? {
-            Some(record) => counts.record(record.clbits, 1),
-            None => discarded += 1,
+    let mut state = snapshot.clone();
+    for shot in 0..shots {
+        before_shot(rng);
+        if shot > 0 {
+            state.copy_from(snapshot);
+        }
+        let mut record = clbits;
+        if run_compiled_from(program, head, &mut state, &mut record, rng)? {
+            counts.record(record, 1);
+        } else {
+            discarded += 1;
         }
     }
     Ok((counts, discarded))

@@ -10,7 +10,7 @@
 //! at compile time by the eligibility scan, carried on the
 //! [`CompiledProgram`] as a [`HybridPlan`]) runs per shot on the
 //! Aaronson–Gottesman tableau, the live state is materialized as
-//! amplitudes at the cut ([`Tableau::to_statevector`] — deterministic
+//! amplitudes at the cut ([`crate::Tableau::to_statevector`] — deterministic
 //! Gaussian elimination, no RNG), and the separately compiled suffix
 //! finishes the shot on the amplitude executor, batched/SIMD kernels
 //! included.
@@ -52,16 +52,32 @@
 //! **distributionally**, not bit-for-bit; the equivalence suite pins
 //! the TVD. Counts on the fallback paths *are* bit-identical to the
 //! backend they delegate to.
+//!
+//! # Settled heads
+//!
+//! Each shard runs the prefix's RNG-free head once (the stabilizer
+//! backend's [`SettledHead`]) and resumes every shot after it. When the
+//! head covers the whole prefix — the usual shape, since an assertion's
+//! ancilla outcome is deterministic while it holds — the handoff state
+//! is the same for every shot: the shard extracts it once, evolves the
+//! suffix's own leading noise-free, unconditioned unitaries onto it,
+//! and restores that snapshot in place per shot (held only up to
+//! [`SNAPSHOT_MAX_QUBITS`]; wider registers extract per shot). None of
+//! this moves a draw: the head draws nothing by stabilizer rules 1, 3
+//! and 5, extraction draws nothing, the suffix head draws nothing by the
+//! amplitude contract, and the one `f64` marker is still drawn per shot
+//! at the handoff. Counts are bit-identical to replaying every shot.
 
 use crate::compile::CompileOptions;
 use crate::counts::Counts;
 use crate::error::SimError;
 use crate::executor::{
-    run_compiled_from, run_sharded_generic_on, Backend, BackendKind, RunResult, StatevectorBackend,
+    evolve_unitary_prefix, run_compiled_from, run_from_snapshot, run_sharded_generic_on, Backend,
+    BackendKind, RunResult, StatevectorBackend, SNAPSHOT_MAX_QUBITS,
 };
 use crate::pool::ShardPool;
-use crate::program::{CompiledProgram, HybridPlan};
-use crate::stabilizer::{run_clifford_sharded, run_clifford_shot, Tableau};
+use crate::program::{unitary_head, CompiledProgram, HybridPlan};
+use crate::stabilizer::{run_clifford_ops, run_clifford_sharded, SettledHead, ShotStart};
 use qnoise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,8 +86,13 @@ use rand::{Rng, SeedableRng};
 /// ([`crate::StateVector`] stops at 29 qubits).
 pub const MAX_HANDOFF_QUBITS: usize = 29;
 
-/// One shard of hybrid shots: a single tableau and a fresh suffix
-/// statevector per shot, one RNG stream straight through the handoff.
+/// One shard of hybrid shots, one RNG stream straight through the
+/// handoff. The prefix's settled head runs once (see [module
+/// docs](self)); when it covers the whole prefix and the register fits
+/// [`SNAPSHOT_MAX_QUBITS`], the extraction and the suffix's own
+/// amplitude head run once too, and every shot restores that state in
+/// place. Otherwise each shot resumes the tableau from the settled
+/// snapshot and extracts a fresh suffix statevector.
 fn run_hybrid_shard(
     plan: &HybridPlan,
     num_qubits: usize,
@@ -80,14 +101,37 @@ fn run_hybrid_shard(
     rng_seed: u64,
 ) -> Result<(Counts, u64), SimError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut tableau = Tableau::new(num_qubits);
+    let head = SettledHead::settle(plan.prefix());
+    let suffix = plan.suffix();
+
+    if head.len() == plan.prefix().ops().len() && num_qubits <= SNAPSHOT_MAX_QUBITS {
+        let suffix_head = unitary_head(suffix.ops());
+        let mut snapshot = head.tableau().to_statevector();
+        evolve_unitary_prefix(suffix, suffix_head, &mut snapshot)?;
+        // The frozen handoff marker is still one f64 per shot.
+        return run_from_snapshot(
+            suffix,
+            suffix_head,
+            &snapshot,
+            head.clbits(),
+            shots,
+            &mut rng,
+            |rng| {
+                let _marker: f64 = rng.gen();
+            },
+        );
+    }
+
     let mut counts = Counts::new(num_clbits);
     let mut discarded = 0u64;
+    let (start, mut tableau) = ShotStart::new(head);
+    let rest = &plan.prefix().ops()[start.len()..];
     for shot in 0..shots {
         if shot > 0 {
-            tableau.reset_state();
+            start.restore(&mut tableau);
         }
-        let Some(mut clbits) = run_clifford_shot(plan.prefix(), &mut tableau, &mut rng) else {
+        let Some(mut clbits) = run_clifford_ops(rest, &mut tableau, start.clbits(), &mut rng)
+        else {
             discarded += 1;
             continue;
         };
@@ -96,7 +140,7 @@ fn run_hybrid_shard(
         // the cut can never silently realign the streams.
         let _marker: f64 = rng.gen();
         let mut state = tableau.to_statevector();
-        if run_compiled_from(plan.suffix(), &mut state, &mut clbits, &mut rng)? {
+        if run_compiled_from(suffix, 0, &mut state, &mut clbits, &mut rng)? {
             counts.record(clbits, 1);
         } else {
             discarded += 1;

@@ -99,10 +99,10 @@ pub use counts::{bitstring, key_from_str, Counts};
 pub use density::DensityMatrix;
 pub use error::{CliffordBlock, SimError};
 pub use executor::{
-    run_compiled_sharded, run_compiled_sharded_on, run_compiled_sharded_scoped, run_compiled_shot,
-    run_shot, shard_seed, sweep_point_seed, tranche_seed, Backend, BackendKind,
-    DensityMatrixBackend, ExactDistribution, RunResult, ShotRecord, StatevectorBackend,
-    TrajectoryBackend,
+    amplitude_snapshot_head, run_compiled_from, run_compiled_sharded, run_compiled_sharded_on,
+    run_compiled_sharded_scoped, run_compiled_shot, run_shot, shard_seed, sweep_point_seed,
+    tranche_seed, Backend, BackendKind, DensityMatrixBackend, ExactDistribution, RunResult,
+    ShotRecord, StatevectorBackend, TrajectoryBackend, SNAPSHOT_MAX_QUBITS,
 };
 pub use expectation::{Pauli, PauliString};
 pub use hybrid::{HybridBackend, MAX_HANDOFF_QUBITS};
@@ -112,7 +112,7 @@ pub use prefix::PrefixRegistry;
 pub use program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};
 pub use simd::SimdBackend;
 pub use stabilizer::{
-    run_clifford_sharded, run_clifford_sharded_on, CliffordOp, CliffordOpKind, CliffordProgram,
-    PauliNoise, StabilizerBackend, Tableau,
+    run_clifford_sharded, run_clifford_sharded_on, run_clifford_shot, CliffordOp, CliffordOpKind,
+    CliffordProgram, PauliNoise, SettledHead, StabilizerBackend, Tableau,
 };
 pub use statevector::StateVector;

@@ -152,11 +152,23 @@ pub struct CompiledOp {
     pub noise: Vec<AppliedChannel>,
 }
 
+/// The RNG-free amplitude head of an op stream: the number of leading
+/// ops that are unconditioned, noise-free unitaries. No op in it draws
+/// from the RNG, so the sample-once fast path evolves it once per run
+/// and the per-shot loops evolve it once per shard.
+pub(crate) fn unitary_head(ops: &[CompiledOp]) -> usize {
+    ops.iter()
+        .take_while(|op| op.kind.is_unitary() && op.condition.is_none() && op.noise.is_empty())
+        .count()
+}
+
 /// The statevector sample-once fast path, decided at compile time.
 #[derive(Clone, Debug)]
 pub struct FastPath {
-    /// Ops `[0, unitary_prefix)` are unconditioned unitaries; everything
-    /// after is a trailing measurement.
+    /// Ops `[0, unitary_prefix)` are the program's RNG-free unitary
+    /// head (unconditioned, noise-free unitaries). On a noise-free
+    /// program — the only kind the sample-once path runs — everything
+    /// after it is a trailing measurement.
     pub unitary_prefix: usize,
     /// `(qubit bit, clbit bit)` of each trailing measurement.
     pub mapping: Vec<(usize, usize)>,

@@ -32,6 +32,18 @@ impl Tableau {
         }
     }
 
+    /// Measures qubit `a` only if its outcome is deterministic: returns
+    /// the forced outcome, or `None` (leaving the tableau untouched)
+    /// when the outcome would be random. Draws nothing either way — the
+    /// settle step uses this to run measurements that contract rule 3
+    /// already makes RNG-free.
+    pub fn measure_deterministic(&mut self, a: usize) -> Option<bool> {
+        match self.anticommuting_pivot(a) {
+            Some(_) => None,
+            None => Some(self.deterministic_outcome(a)),
+        }
+    }
+
     /// Resets qubit `a` to `|0⟩`: measure, then flip if the outcome
     /// was 1. Draws randomness exactly as [`Tableau::measure`] does.
     pub fn reset_qubit<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) {
@@ -105,6 +117,20 @@ mod tests {
         assert!(!t.measure(1, &mut rng), "|0⟩ measures 0");
         let mut fresh = StdRng::seed_from_u64(7);
         assert_eq!(rng.next_u64(), fresh.next_u64(), "no draws consumed");
+    }
+
+    #[test]
+    fn measure_deterministic_declines_random_outcomes() {
+        let mut t = Tableau::new(2);
+        t.h(0);
+        t.cx(0, 1);
+        let before = t.clone();
+        assert_eq!(t.measure_deterministic(0), None);
+        assert_eq!(t, before, "a declined measurement leaves the state");
+        let mut u = Tableau::new(2);
+        u.x(1);
+        assert_eq!(u.measure_deterministic(1), Some(true));
+        assert_eq!(u.measure_deterministic(0), Some(false));
     }
 
     #[test]

@@ -49,6 +49,21 @@
 //! The streams intentionally differ from the statevector backend's
 //! (which burns one `f64` per measurement regardless); cross-backend
 //! agreement is distributional, pinned by the equivalence suite.
+//!
+//! # The head runs once per shard
+//!
+//! An assertion-instrumented program typically opens with a long
+//! stretch that draws nothing: the state preparation and the ancilla
+//! parity checks whose outcome is fixed while the assertion holds. Each
+//! shard runs that stretch — its [`SettledHead`] — once, and every shot
+//! restores the resulting tableau and classical record in place and
+//! resumes at the first op that could draw. The head holds only
+//! noise-free gates (rule 1), deterministic measurements without a
+//! readout error (rule 3: no draw) and ops whose condition the settled
+//! clbits leave unsatisfied (rule 5), so replaying it per shot would
+//! consume no entropy either: every shot sees the same tableau, the
+//! same clbits and the same RNG stream, and counts stay bit-identical.
+//! A program whose head is empty runs each shot from `|0…0⟩` as before.
 
 mod extract;
 mod gates;
@@ -328,25 +343,121 @@ pub(crate) fn lower_clifford_scan(
     )
 }
 
-/// Executes one shot on `tableau` (reset by the caller); returns `None`
-/// when a post-selection discarded the shot. The RNG draw order is the
-/// frozen contract in the [module docs](self).
+/// The RNG-free head of a Clifford op stream, run once: the tableau
+/// and classical record after every op before the first one that could
+/// draw from the RNG under the frozen contract in the
+/// [module docs](self), plus the number of ops it covers.
 ///
-/// `pub(crate)` so the hybrid backend can drive the same loop for the
-/// Clifford prefix of a routed program (carrying the clbits across the
-/// handoff).
-pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
+/// The head takes noise-free gates (rule 1), measurements with a
+/// deterministic outcome and no readout error (rule 3 draws nothing for
+/// them; their clbits are part of the snapshot), and ops whose
+/// condition the snapshot's clbits already leave unsatisfied (rule 5).
+/// It stops at the first noisy gate, random or readout-bound
+/// measurement, reset or post-selection. Every shot of a shard then
+/// starts from this snapshot instead of replaying the head; since the
+/// head draws nothing, each shot's RNG stream — and so every count — is
+/// unchanged.
+#[derive(Clone, Debug)]
+pub struct SettledHead {
+    tableau: Tableau,
+    clbits: u64,
+    len: usize,
+}
+
+impl SettledHead {
+    /// Runs the head of `program` from `|0…0⟩`.
+    pub fn settle(program: &CliffordProgram) -> Self {
+        let mut tableau = Tableau::new(program.num_qubits());
+        let mut clbits = 0u64;
+        let mut len = 0;
+        for op in program.ops() {
+            if condition_holds(op.condition, clbits) {
+                match &op.kind {
+                    CliffordOpKind::Gate { kind, qubits } if op.noise.is_empty() => {
+                        tableau.apply_clifford(*kind, qubits);
+                    }
+                    CliffordOpKind::Measure {
+                        qubit,
+                        clbit,
+                        readout: None,
+                    } => match tableau.measure_deterministic(*qubit) {
+                        Some(outcome) => clbits = write_clbit(clbits, *clbit, outcome),
+                        None => break,
+                    },
+                    _ => break,
+                }
+            }
+            len += 1;
+        }
+        SettledHead {
+            tableau,
+            clbits,
+            len,
+        }
+    }
+
+    /// Ops of the program the head covers (`0` = nothing settles).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the head covers no op.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The tableau after the head.
+    pub fn tableau(&self) -> &Tableau {
+        &self.tableau
+    }
+
+    /// The classical record after the head.
+    pub fn clbits(&self) -> u64 {
+        self.clbits
+    }
+}
+
+/// Whether an op with classical condition `cond` executes under the
+/// record `clbits`.
+fn condition_holds(cond: Option<Condition>, clbits: u64) -> bool {
+    cond.is_none_or(|c| ((clbits >> c.clbit.index()) & 1 == 1) == c.value)
+}
+
+/// `clbits` with bit `clbit` set to `value`.
+fn write_clbit(clbits: u64, clbit: usize, value: bool) -> u64 {
+    (clbits & !(1 << clbit)) | (u64::from(value) << clbit)
+}
+
+/// Executes one shot of `program` from the `|0…0⟩` tableau (reset by
+/// the caller) and an all-zero classical record; returns `None` when a
+/// post-selection discarded the shot. The RNG draw order is the frozen
+/// contract in the [module docs](self).
+///
+/// This is the **reference per-shot oracle**: the shard loops start
+/// shots from a [`SettledHead`] instead, and the settled equivalence
+/// suite pins their counts to this function's bit for bit.
+pub fn run_clifford_shot<R: Rng + ?Sized>(
     program: &CliffordProgram,
     tableau: &mut Tableau,
     rng: &mut R,
 ) -> Option<u64> {
-    let mut clbits = 0u64;
-    for op in program.ops() {
-        if let Some(cond) = op.condition {
-            let bit = (clbits >> cond.clbit.index()) & 1 == 1;
-            if bit != cond.value {
-                continue;
-            }
+    run_clifford_ops(program.ops(), tableau, 0, rng)
+}
+
+/// Executes a run of Clifford ops on `(tableau, clbits)`; returns the
+/// final classical record, or `None` when a post-selection discarded
+/// the shot. `pub(crate)` so the hybrid backend can drive the same
+/// loop for the Clifford prefix of a routed program (carrying the
+/// clbits across the handoff).
+pub(crate) fn run_clifford_ops<R: Rng + ?Sized>(
+    ops: &[CliffordOp],
+    tableau: &mut Tableau,
+    mut clbits: u64,
+    rng: &mut R,
+) -> Option<u64> {
+    for op in ops {
+        if !condition_holds(op.condition, clbits) {
+            continue;
         }
         match &op.kind {
             CliffordOpKind::Gate { kind, qubits } => {
@@ -365,7 +476,7 @@ pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
                     Some(r) => r.sample_recorded(actual, rng.gen::<f64>()),
                     None => actual,
                 };
-                clbits = (clbits & !(1 << clbit)) | (u64::from(recorded) << clbit);
+                clbits = write_clbit(clbits, *clbit, recorded);
             }
             CliffordOpKind::Reset { qubit } => tableau.reset_qubit(*qubit, rng),
             CliffordOpKind::PostSelect { qubit, outcome } => {
@@ -378,17 +489,68 @@ pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
     Some(clbits)
 }
 
-/// Runs one shard of shots sequentially, reusing a single tableau.
+/// A shard's per-shot starting point on the tableau: the settled head's
+/// state, restored in place before every shot after the first. An empty
+/// head holds no snapshot and resets to `|0…0⟩`, exactly as an
+/// unsettled shard does.
+pub(crate) struct ShotStart {
+    len: usize,
+    clbits: u64,
+    snapshot: Option<Tableau>,
+}
+
+impl ShotStart {
+    /// Takes over a settled head; the returned working tableau is the
+    /// first shot's starting state.
+    pub(crate) fn new(head: SettledHead) -> (Self, Tableau) {
+        let SettledHead {
+            tableau,
+            clbits,
+            len,
+        } = head;
+        let snapshot = (len > 0).then(|| tableau.clone());
+        (
+            ShotStart {
+                len,
+                clbits,
+                snapshot,
+            },
+            tableau,
+        )
+    }
+
+    /// Ops of the program the head covers.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The classical record every shot starts from.
+    pub(crate) fn clbits(&self) -> u64 {
+        self.clbits
+    }
+
+    /// Puts `tableau` back at the start of a shot.
+    pub(crate) fn restore(&self, tableau: &mut Tableau) {
+        match &self.snapshot {
+            Some(snapshot) => tableau.copy_from(snapshot),
+            None => tableau.reset_state(),
+        }
+    }
+}
+
+/// Runs one shard of shots sequentially, reusing a single tableau that
+/// each shot restores from the settled head.
 fn run_clifford_shard(program: &CliffordProgram, shots: u64, rng_seed: u64) -> (Counts, u64) {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut tableau = Tableau::new(program.num_qubits());
+    let (start, mut tableau) = ShotStart::new(SettledHead::settle(program));
+    let rest = &program.ops()[start.len()..];
     let mut counts = Counts::new(program.num_clbits());
     let mut discarded = 0u64;
     for shot in 0..shots {
         if shot > 0 {
-            tableau.reset_state();
+            start.restore(&mut tableau);
         }
-        match run_clifford_shot(program, &mut tableau, &mut rng) {
+        match run_clifford_ops(rest, &mut tableau, start.clbits(), &mut rng) {
             Some(clbits) => counts.record(clbits, 1),
             None => discarded += 1,
         }

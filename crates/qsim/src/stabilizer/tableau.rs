@@ -71,6 +71,20 @@ impl Tableau {
         }
     }
 
+    /// Overwrites this tableau with `src` in place, reusing the
+    /// buffers — the per-shot restore from a settled snapshot (the
+    /// derived `clone_from` would reallocate all three planes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the qubit counts differ.
+    pub fn copy_from(&mut self, src: &Tableau) {
+        assert_eq!(self.n, src.n, "tableau widths differ");
+        self.xs.copy_from_slice(&src.xs);
+        self.zs.copy_from_slice(&src.zs);
+        self.rs.copy_from_slice(&src.rs);
+    }
+
     /// Qubit count.
     pub fn num_qubits(&self) -> usize {
         self.n
@@ -260,6 +274,18 @@ mod tests {
         assert_eq!(t.row_string(2), "+ZZ");
         t.rowsum(2, 3); // back to +Z0 (Z1 cancels)
         assert_eq!(t.row_string(2), "+ZI");
+    }
+
+    #[test]
+    fn copy_from_reproduces_the_source_in_place() {
+        let mut src = Tableau::new(70);
+        src.rowsum(70, 71);
+        src.set_r_bit(3, true);
+        let mut dst = Tableau::new(70);
+        let planes = dst.xs.as_ptr();
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.xs.as_ptr(), planes, "restore must not reallocate");
     }
 
     #[test]

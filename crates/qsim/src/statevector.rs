@@ -79,6 +79,18 @@ impl StateVector {
         })
     }
 
+    /// Overwrites this state with `src` in place, reusing the amplitude
+    /// buffer — the per-shot restore from a settled snapshot (the
+    /// derived `clone_from` would reallocate `2^n` amplitudes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the qubit counts differ.
+    pub fn copy_from(&mut self, src: &StateVector) {
+        assert_eq!(self.num_qubits, src.num_qubits, "state widths differ");
+        self.amps.copy_from_slice(&src.amps);
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits

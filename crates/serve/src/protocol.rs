@@ -528,6 +528,17 @@ pub fn queue_full_error(capacity: usize) -> ApiError {
     }
 }
 
+/// The body of a job that failed inside the server (500): execution
+/// panicked, or the job worker went away before answering.
+pub fn internal_error(message: impl Into<String>) -> ApiError {
+    ApiError {
+        status: 500,
+        code: "internal",
+        message: message.into(),
+        details: Vec::new(),
+    }
+}
+
 /// The body of a shutdown rejection (503): the server is draining.
 pub fn shutting_down_error() -> ApiError {
     ApiError {

@@ -37,7 +37,8 @@
 use crate::http::{self, ChunkedWriter, Request, RequestError};
 use crate::json::{obj, Value};
 use crate::protocol::{
-    outcome_records, queue_full_error, shutting_down_error, telemetry_record, ApiError, JobSpec,
+    internal_error, outcome_records, queue_full_error, shutting_down_error, telemetry_record,
+    ApiError, JobSpec,
 };
 use crate::queue::{JobQueue, SubmitError};
 use qassert::{AssertingCircuit, AssertionSession, SessionTelemetry};
@@ -48,6 +49,7 @@ use qsim::{
     StabilizerBackend, StatevectorBackend, TrajectoryBackend,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -223,9 +225,17 @@ impl Server {
                     .name(format!("serve-job-{i}"))
                     .spawn(move || {
                         while let Some(job) = state.queue.pop() {
-                            state.jobs_running.fetch_add(1, Ordering::SeqCst);
-                            let result = execute(&state, &job.spec, &job.circuit);
-                            state.jobs_running.fetch_sub(1, Ordering::SeqCst);
+                            let result = {
+                                let _running = RunningJob::enter(&state.jobs_running);
+                                // A panic in execution (a simulator's
+                                // width assert, say) fails this job
+                                // only: the worker answers 500 and
+                                // takes the next job.
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    execute(&state, &job.spec, &job.circuit)
+                                }))
+                                .unwrap_or_else(|_| Err(internal_error("job execution panicked")))
+                            };
                             state.jobs_done.fetch_add(1, Ordering::Relaxed);
                             // The conn worker may have gone away (client
                             // hangup); the job's work is done either way.
@@ -472,19 +482,28 @@ fn handle_job(state: &Arc<ServeState>, mut stream: TcpStream, request: &Request)
         }
         Ok(Err(err)) => answer(&mut stream, err),
         Err(_) => {
-            // The job worker died (it never does without a panic in
-            // execution, which execute() converts to an error — this is
-            // strictly a belt-and-braces path).
-            answer(
-                &mut stream,
-                ApiError {
-                    status: 500,
-                    code: "internal",
-                    message: "job worker failed".to_string(),
-                    details: Vec::new(),
-                },
-            );
+            // The job was dropped unanswered. Job workers catch panics
+            // in execution and answer them as 500s themselves, so this
+            // only guards against a worker lost some other way.
+            answer(&mut stream, internal_error("job worker failed"));
         }
+    }
+}
+
+/// One job on the `jobs_running` gauge for as long as the guard lives:
+/// the gauge drops back however the job ends, unwinding included.
+struct RunningJob<'a>(&'a AtomicUsize);
+
+impl<'a> RunningJob<'a> {
+    fn enter(gauge: &'a AtomicUsize) -> Self {
+        gauge.fetch_add(1, Ordering::SeqCst);
+        RunningJob(gauge)
+    }
+}
+
+impl Drop for RunningJob<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -300,6 +300,32 @@ fn wire_errors_carry_typed_bodies() {
 }
 
 #[test]
+fn a_panicking_job_answers_500_and_the_worker_keeps_serving() {
+    // 34 data qubits: past the statevector's width assert, which
+    // panics inside execution.
+    let config = ServerConfig {
+        job_workers: 1,
+        ..test_config()
+    };
+    let server = Server::start(config).expect("start");
+    let wide = "{\"qasm\": \"OPENQASM 2.0;\\nqreg q[34];\\nh q[0];\\n\", \
+                \"backend\": \"statevector\", \"seed\": 1, \"plan\": {\"fixed\": 16}, \
+                \"assertions\": [{\"kind\": \"superposition\", \"qubit\": 0}]}";
+    let failed = client::post_job(server.addr(), "t", wide).expect("post");
+    assert_eq!(failed.status, 500, "body: {}", failed.body);
+    let body = qassert_serve::json::parse(&failed.body).expect("error JSON");
+    assert_eq!(body.get("error").and_then(Value::as_str), Some("internal"));
+
+    // The only job worker survived the panic and serves the next job.
+    let ok = client::post_job(server.addr(), "t", &ghz_job("")).expect("post");
+    assert_eq!(ok.status, 200, "body: {}", ok.body);
+    wait_for_metrics(server.addr(), Duration::from_secs(10), |m| {
+        field(m, "jobs_running") == 0 && field(m, "jobs_done") == 2
+    });
+    server.shutdown();
+}
+
+#[test]
 fn health_reports_liveness_and_gauges() {
     let server = Server::start(test_config()).expect("start");
     let response = client::get(server.addr(), "/healthz").expect("healthz");
